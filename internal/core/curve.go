@@ -241,6 +241,9 @@ func (f *Family) Validate() error {
 	if len(f.Curves) == 0 {
 		return fmt.Errorf("core: family %q has no curves", f.Label)
 	}
+	if bw := f.TheoreticalBW; math.IsNaN(bw) || math.IsInf(bw, 0) || bw < 0 {
+		return fmt.Errorf("core: family %q theoretical bandwidth %v GB/s is not finite and non-negative", f.Label, bw)
+	}
 	for i := range f.Curves {
 		if err := f.Curves[i].Validate(); err != nil {
 			return fmt.Errorf("family %q: %w", f.Label, err)

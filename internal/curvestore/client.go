@@ -2,7 +2,6 @@ package curvestore
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -215,12 +214,8 @@ func (c *Client) Save(ctx context.Context, key Key, fam *core.Family) error {
 	}
 	sum := sha256.Sum256(raw.Bytes())
 	var gz bytes.Buffer
-	zw := gzip.NewWriter(&gz)
-	if _, err := zw.Write(raw.Bytes()); err != nil {
-		return err
-	}
-	if err := zw.Close(); err != nil {
-		return err
+	if err := gzipTo(&gz, raw.Bytes()); err != nil {
+		return fmt.Errorf("curvestore: compressing curves for upload: %w", err)
 	}
 	resp, err := c.do(ctx, func() (*http.Request, error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.urlFor(key), bytes.NewReader(gz.Bytes()))

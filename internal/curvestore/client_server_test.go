@@ -8,8 +8,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -408,5 +410,79 @@ func TestGzipOnTheWire(t *testing.T) {
 	}
 	if fam.Label != "gzip" {
 		t.Fatalf("label = %q", fam.Label)
+	}
+}
+
+func TestPooledGzipMatchesFreshWriter(t *testing.T) {
+	// Pooled writers are reused across payloads; each stream must be
+	// byte-identical to one from a fresh default-level writer.
+	for i, label := range []string{"first", "second", "first"} {
+		var csv bytes.Buffer
+		if err := testFam(label).WriteCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		var fresh, pooled bytes.Buffer
+		zw := gzip.NewWriter(&fresh)
+		zw.Write(csv.Bytes())
+		zw.Close()
+		if err := gzipTo(&pooled, csv.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fresh.Bytes(), pooled.Bytes()) {
+			t.Fatalf("payload %d: pooled gzip output differs from a fresh writer's", i)
+		}
+	}
+}
+
+// raceEnabled is set under the race detector, whose sync.Pool drops a
+// random share of the objects put back.
+var raceEnabled bool
+
+func TestServerHotGETAllocatesLittle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool discards pooled compressors at random")
+	}
+	ratios := make([]float64, 14)
+	for i := range ratios {
+		ratios[i] = 0.35 + 0.05*float64(i)
+	}
+	fam := core.NewSynthetic(core.SyntheticSpec{Label: "hot", Ratios: ratios, PointsPerCurve: 21})
+	mem := NewMemory(0)
+	key := testKey(29)
+	if err := mem.Save(bg, key, fam); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(mem, ServerConfig{}))
+	defer ts.Close()
+	tr := &http.Transport{DisableCompression: true}
+	defer tr.CloseIdleConnections()
+	url := ts.URL + "/v1/curves/" + key.String()
+	get := func() {
+		req, err := http.NewRequest(http.MethodGet, url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Accept-Encoding", "gzip")
+		resp, err := tr.RoundTrip(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Encoding") != "gzip" || n == 0 {
+			t.Fatalf("GET: status %s, encoding %q, %d bytes, err %v", resp.Status, resp.Header.Get("Content-Encoding"), n, err)
+		}
+	}
+	get() // connection and pooled compressor in place
+
+	const gets = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < gets; i++ {
+		get()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / gets; per >= 64<<10 {
+		t.Fatalf("a hot gzip GET allocates %d bytes, want under 64 KiB", per)
 	}
 }

@@ -260,9 +260,9 @@ func (s *Server) get(w http.ResponseWriter, r *http.Request, key Key) {
 	if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
 		w.Header().Set("Content-Encoding", "gzip")
 		cw := &countWriter{w: w}
-		zw := gzip.NewWriter(cw)
-		zw.Write(buf.Bytes())
-		zw.Close()
+		// A failed write means the client went away; the count says how
+		// much reached it.
+		_ = gzipTo(cw, buf.Bytes())
 		s.bytesOut.Add(cw.n)
 	} else {
 		n, _ := w.Write(buf.Bytes())
@@ -286,6 +286,25 @@ func etagMatches(header, etag string) bool {
 		}
 	}
 	return false
+}
+
+// gzipWriters recycles compressors for GET bodies and uploads: a
+// gzip.Writer carries about 800 KB of deflate state, too much to allocate
+// per request. Reset keeps the default level, so output bytes are the same
+// as from a fresh gzip.NewWriter.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
+
+// gzipTo writes p to w as one complete gzip stream.
+func gzipTo(w io.Writer, p []byte) error {
+	zw := gzipWriters.Get().(*gzip.Writer)
+	zw.Reset(w)
+	_, err := zw.Write(p)
+	if cerr := zw.Close(); err == nil {
+		err = cerr
+	}
+	zw.Reset(io.Discard) // drop the reference to w while pooled
+	gzipWriters.Put(zw)
+	return err
 }
 
 type countWriter struct {
