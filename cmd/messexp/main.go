@@ -37,7 +37,6 @@ func main() {
 		cacheDir = flag.String("cache-dir", "", "persist curve families under this directory")
 		cacheMax = flag.Int("cache-max-mb", 0, "bound the curve cache size in MiB (0 = unbounded); LRU eviction")
 		cacheURL = flag.String("cache-url", "", cli.CurveURLUsage)
-		shards   = flag.Int("shards", 0, "engines per measurement point for every characterization (≥2 shards the DRAM channels; execution-only, results are byte-identical)")
 		timeout  = flag.Duration("timeout", 0, cli.TimeoutUsage)
 	)
 	tel := cli.TelemetryFlags().WithTrace()
@@ -73,6 +72,7 @@ func main() {
 	ctx, stop := cli.Context(*timeout)
 	defer stop()
 	svc := cli.Service(*cacheDir, *cacheMax, *cacheURL, tel.Set())
+	env := &mess.ExperimentEnv{Scale: s, Charz: svc, Ctx: ctx}
 	// Progress and failure reporting go through the structured logger: each
 	// slog record is written with a single atomic Write, so interleaved
 	// output from concurrent characterizations never shears a line — and
@@ -91,7 +91,7 @@ func main() {
 		start := time.Now()
 		log.Info("experiment starting", "experiment", id, "scale", s.String())
 		sp := tel.Set().Trace().Begin(track, "experiment "+id)
-		res, err := mess.RunExperimentShardedContext(ctx, svc, id, s, *shards)
+		res, err := runExperiment(env, id)
 		if err != nil {
 			sp.End(telemetry.String("outcome", "error"))
 			log.Error("experiment failed", "experiment", id, "err", err,
@@ -127,4 +127,15 @@ func main() {
 	if failed > 0 {
 		os.Exit(1)
 	}
+}
+
+// runExperiment runs the experiment named id in the invocation's shared
+// environment.
+func runExperiment(env *mess.ExperimentEnv, id string) (*mess.ExperimentResult, error) {
+	for _, e := range mess.Experiments() {
+		if e.ID == id {
+			return e.Run(env)
+		}
+	}
+	return nil, &mess.UnknownExperimentError{ID: id}
 }

@@ -13,34 +13,22 @@
 //     reference model and the Mess analytical simulator under closed-loop
 //     load (the zero-allocation request-lifecycle claim is a tracked
 //     artifact: allocs_per_op on these rows must stay ≈ 0);
-//   - the framework: wall-clock of a Quick-scale characterization and of
+//   - the framework: wall-clock of a Quick-scale characterization, of
 //     the fig2 experiment (full benchmark sweeps on fresh services, no
-//     caches), plus the sharded counterparts of the DRAM closed loop, the
-//     fig2 sweep and a single fully-loaded sweep point — the same
-//     simulations on per-channel shard engines advanced concurrently
-//     (byte-identical results; the rows track the wall-clock win). Sharded
-//     rows record the gomaxprocs they ran at, since their numbers are
-//     meaningless without it. -shards picks the engine count (0 = auto:
-//     GOMAXPROCS capped at channels+1; 1 = disable the sharded rows).
-//     Since v4 the framework layer also measures the trace-replay pair:
-//     one fig6-class trace captured on the Quick-scaled platform, replayed
-//     in full (framework/fig6_replay) and through the phase-clustered
-//     sampler (framework/fig6_replay_sampled). The sampled row carries
-//     divergence_pct and speedup_x — deterministic accuracy numbers that
-//     -max-divergence and -min-speedup turn into hard gates (CI runs with
-//     -max-divergence 5 -min-speedup 5); -skip-replay disables the pair.
-//     Since v5 the sharded rows gain an in-run A/B against the PR-6 global
-//     barrier (model/dram_sharded_global couples every shard through the
-//     group-wide minimum window, exactly what the barrier did before
-//     per-pair lookahead horizons), device-shard rows for the CXL expander
-//     (model/cxl vs model/cxl_sharded), a second sharded sweep point on
-//     the 8-channel Graviton 3 model (framework/fig4_point{,_sharded}),
-//     and barrier statistics (windows, avg_window_ns, parks) on every
-//     sharded row.
+//     caches) and of single fully-loaded sweep points on the Quick-scaled
+//     Skylake (framework/fig2_point) and the 8-channel Graviton 3
+//     (framework/fig4_point). Since v4 the framework layer also measures
+//     the trace-replay pair: one fig6-class trace captured on the
+//     Quick-scaled platform, replayed in full (framework/fig6_replay) and
+//     through the phase-clustered sampler (framework/fig6_replay_sampled).
+//     The sampled row carries divergence_pct and speedup_x — deterministic
+//     accuracy numbers that -max-divergence and -min-speedup turn into hard
+//     gates (CI runs with -max-divergence 5 -min-speedup 5); -skip-replay
+//     disables the pair.
 //
 // With -cpuprofile/-memprofile, messperf writes pprof profiles covering
 // exactly the measured region (every benchmark, none of the report or
-// gate machinery) — the intended way to hunt barrier or kernel hot spots
+// gate machinery) — the intended way to hunt model or kernel hot spots
 // on a machine where a row regressed.
 //
 // With -best-of N, every measurement is taken N times and only the best
@@ -104,10 +92,11 @@ import (
 // point pair (framework/fig4_point, framework/fig4_point_sharded) and the
 // barrier-statistics fields (windows, avg_window_ns, parks) on sharded
 // rows; v6 added the top-level telemetry block — a snapshot of the run's
-// internal metrics registry (bench sweep-point, sim window/barrier and
-// charz source counters), so the trajectory records not only how fast the
-// suite ran but how much simulation work it did.
-const Schema = "mess-perf/v6"
+// internal metrics registry (bench sweep-point and charz source counters),
+// so the trajectory records not only how fast the suite ran but how much
+// simulation work it did; v7 removed intra-point sharding: the six sharded
+// rows, the per-result gomaxprocs field and the barrier-statistics fields.
+const Schema = "mess-perf/v7"
 
 // Result is one measured quantity of the suite. AllocsPerOp follows the
 // `go test -benchmem` convention (total mallocs / ops, truncated): the
@@ -122,18 +111,6 @@ type Result struct {
 	Mallocs      uint64  `json:"mallocs,omitempty"`
 	WallMs       float64 `json:"wall_ms"`
 	Ops          int     `json:"ops"`
-	// GOMAXPROCS is set on rows whose wall-clock depends on host
-	// parallelism (the sharded-execution rows); zero elsewhere.
-	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
-	// Windows, AvgWindowNs and Parks are set on sharded rows: conservative
-	// windows the barrier executed, the mean home-shard window width, and
-	// how often a waiting party escalated past spinning and yielding to a
-	// blocking park. They contextualize the wall-clock columns — a sharded
-	// row that got slower with the same window count parked more (host
-	// contention), one whose windows shrank hit a tighter lookahead path.
-	Windows     uint64  `json:"windows,omitempty"`
-	AvgWindowNs float64 `json:"avg_window_ns,omitempty"`
-	Parks       uint64  `json:"parks,omitempty"`
 	// DivergencePct and SpeedupX are set on the sampled-replay row only:
 	// the reconstruction's worst-case bandwidth/latency deviation from the
 	// full replay of the same trace, and the record-count reduction the
@@ -152,11 +129,11 @@ type Report struct {
 	BestOf     int      `json:"best_of,omitempty"`
 	Results    []Result `json:"results"`
 	// Telemetry is the run's internal metrics registry, flattened
-	// (histograms appear as _count/_sum). Work counters — sweep points,
-	// conservative windows, cross-shard messages — contextualize the
-	// wall-clock rows: a row that slowed down while its work counters held
-	// steady regressed, one whose counters moved measured different work.
-	// Volatile by construction, so never gated.
+	// (histograms appear as _count/_sum). Work counters such as sweep
+	// points contextualize the wall-clock rows: a row that slowed down
+	// while its work counters held steady regressed, one whose counters
+	// moved measured different work. Volatile by construction, so never
+	// gated.
 	Telemetry map[string]float64 `json:"telemetry,omitempty"`
 }
 
@@ -241,15 +218,6 @@ func gate(fresh Report, baselinePath string, maxDrop float64) error {
 		if !ok {
 			continue // new benchmark: no trajectory yet
 		}
-		if r.GOMAXPROCS != was.GOMAXPROCS {
-			// Rows that record their gomaxprocs (the sharded ones) are
-			// only comparable between runs at the same parallelism: a
-			// 2-vCPU runner gating against a 16-vCPU baseline would read
-			// host topology as a code regression. Skip, don't fail.
-			fmt.Printf("gate %-28s skipped: gomaxprocs %d (fresh) vs %d (baseline), not comparable\n",
-				r.Name, r.GOMAXPROCS, was.GOMAXPROCS)
-			continue
-		}
 		if strings.HasPrefix(r.Name, "kernel/") && r.EventsPerSec > 0 && was.EventsPerSec > 0 {
 			drop := 1 - r.EventsPerSec/was.EventsPerSec
 			status := "ok"
@@ -285,7 +253,6 @@ func main() {
 		gateDrop     = flag.Float64("gate-drop", 0.30, "maximum tolerated fractional events/sec drop per kernel benchmark")
 		gatePrev     = flag.String("gate-prev", "", "additional baseline (the previous CI run's artifact) gated at -gate-prev-drop")
 		gatePrevDrop = flag.Float64("gate-prev-drop", 0.10, "maximum tolerated fractional events/sec drop vs -gate-prev")
-		shardsFlag   = flag.Int("shards", 0, "engines for the sharded rows (0 = auto: GOMAXPROCS capped at channels+1; 1 = skip sharded rows)")
 		skipReplay   = flag.Bool("skip-replay", false, "skip the fig6 trace-replay rows")
 		maxDiverge   = flag.Float64("max-divergence", 0, "fail when the sampled replay diverges from the full replay by more than this percentage (0 = no gate)")
 		minSpeedup   = flag.Float64("min-speedup", 0, "fail when the sampled replay's record-count speedup is below this factor (0 = no gate)")
@@ -299,22 +266,6 @@ func main() {
 	// lands in the report's telemetry block so the trajectory records the
 	// amount of simulation work behind the wall-clock rows.
 	set := tel.Set()
-
-	// shardsFor resolves the shard count for a platform with the given
-	// channel count; below 2 the sharded rows are skipped.
-	shardsFor := func(channels int) int {
-		n := *shardsFlag
-		if n == 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		if m := channels + 1; n > m {
-			n = m
-		}
-		if n < 2 {
-			return 0
-		}
-		return n
-	}
 
 	if *bestOfN < 1 {
 		*bestOfN = 1
@@ -356,7 +307,7 @@ func main() {
 	}
 	// The profile window covers exactly the measurements: it opens here,
 	// after flag handling and report setup, and closes (below) before the
-	// report is marshalled and the gates run, so kernel and barrier hot
+	// report is marshalled and the gates run, so kernel and model hot
 	// spots are not diluted by artifact bookkeeping.
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -406,55 +357,9 @@ func main() {
 	modelBest("model/dram_random", perfload.PatternRandom, mkReference)
 	modelBest("model/dram_mixed", perfload.PatternMixed, mkReference)
 
-	// shardStats folds the group's barrier statistics into a sharded row;
-	// every sharded row also records its gomaxprocs, since neither its
-	// wall-clock nor its park count means anything without it.
-	shardStats := func(r Result, group *mess.ShardGroup) Result {
-		s := group.Stats()
-		r.GOMAXPROCS = runtime.GOMAXPROCS(0)
-		r.Windows = s.Windows
-		r.AvgWindowNs = s.AvgWindow.Nanoseconds()
-		r.Parks = s.Parks
-		return r
-	}
-
-	// The sharded counterpart of model/dram_reference: the same detailed
-	// DRAM system with channels spread over concurrently advancing shard
-	// engines, driven through the timed hand-off (the cross-shard hop is
-	// the home shard's lookahead). Results are byte-identical to the
-	// single-engine row; the measurement is the wall-clock win. The
-	// _global variant runs the identical simulation with the group coupled
-	// through the PR-6 group-wide minimum window instead of per-pair
-	// horizons — the in-run A/B that prices the barrier change itself,
-	// immune to runner drift.
-	if full := mess.Skylake(); shardsFor(full.DRAM.Channels) >= 2 {
-		n := shardsFor(full.DRAM.Channels)
-		hop := full.CacheConfig().OnChipLatency / 2
-		shardedDRAM := func(name string, global bool) {
-			add(best(func() Result {
-				group := mess.NewShardGroup(n)
-				defer group.Close()
-				group.SetGlobalCoupling(global)
-				backend := dram.NewSharded(group, full.DRAM, 0)
-				drv := perfload.NewShardedClosedLoop(group, backend, hop, perfload.PatternReference)
-				warm := *modelEvents / 4
-				if warm > 50_000 {
-					warm = 50_000
-				}
-				drv.Run(warm)
-				return shardStats(measure(name, *modelEvents, func() { drv.Run(*modelEvents) }), group)
-			}))
-		}
-		shardedDRAM("model/dram_sharded", false)
-		shardedDRAM("model/dram_sharded_global", true)
-	}
-
-	// The CXL expander under the same closed loop: unsharded (TimedOn
-	// carries the host hop on the device's own engine) vs the device on
-	// its own shard. The device's 70 ns propagation is the shard's
-	// outbound lookahead — windows far wider than the DRAM channels get
-	// from burst-quantum coupling, so this pair isolates what the barrier
-	// costs when the model itself is cheap.
+	// The CXL expander under the same closed loop, each request delivered
+	// after the cache's outbound on-chip hop (TimedOn carries the hop on
+	// the device's engine).
 	{
 		ccfg := cxl.Default()
 		chop := mess.Skylake().CacheConfig().OnChipLatency / 2
@@ -469,16 +374,6 @@ func main() {
 			drv.Run(warm)
 			return measure("model/cxl", *modelEvents, func() { drv.Run(*modelEvents) })
 		}))
-		if shardsFor(1) >= 2 {
-			add(best(func() Result {
-				group := mess.NewShardGroup(2)
-				defer group.Close()
-				sh, _ := cxl.NewShardedExpander(group, 0, 1, ccfg, chop)
-				drv := perfload.NewShardedClosedLoop(group, sh, chop, perfload.PatternReference)
-				drv.Run(warm)
-				return shardStats(measure("model/cxl_sharded", *modelEvents, func() { drv.Run(*modelEvents) }), group)
-			}))
-		}
 	}
 
 	// The Mess analytical simulator needs a curve family; its production is
@@ -511,28 +406,11 @@ func main() {
 				}
 			})
 		}))
-		// Quick-scaled Skylake characterizes 3 channels; the sharded sweep
-		// runs the same 22 jobs with each measurement point sharded. The
-		// sweep-level win is bounded by the home shard (cores and cache
-		// stay serial), so the single-point rows below are the headline
-		// speedup numbers.
-		if n := shardsFor(3); n >= 2 {
-			add(best(func() Result {
-				r := measure("framework/fig2_quick_sharded", 0, func() {
-					svc := mess.NewCharacterizationService(mess.CharacterizationConfig{Telemetry: set})
-					if _, err := mess.RunExperimentSharded(svc, "fig2", mess.ScaleQuick, n); err != nil {
-						cli.Fatal(err)
-					}
-				})
-				r.GOMAXPROCS = runtime.GOMAXPROCS(0)
-				return r
-			}))
-		}
 	}
 
 	// One fully-loaded fig2 sweep point (all generators unpaced, 0% stores)
-	// on the Quick-scaled Skylake, unsharded vs sharded — the cleanest A/B
-	// of the sharded engine's single-point wall-clock.
+	// on the Quick-scaled Skylake: the single-point wall-clock of an
+	// interactive "explore this configuration" run.
 	point := mess.Skylake()
 	point.Cores = 12
 	point.DRAM.Channels = 3
@@ -545,25 +423,9 @@ func main() {
 			}
 		})
 	}))
-	if n := shardsFor(point.DRAM.Channels); n >= 2 {
-		sopt := popt
-		sopt.Shards = n
-		add(best(func() Result {
-			r := measure("framework/fig2_point_sharded", 0, func() {
-				if _, err := bench.MeasurePoint(point, sopt, bench.Mix{}, 0); err != nil {
-					cli.Fatal(err)
-				}
-			})
-			r.GOMAXPROCS = runtime.GOMAXPROCS(0)
-			return r
-		}))
-	}
-
-	// The same A/B on the 8-channel gem5 Graviton 3 model (cores scaled
-	// down so the point stays Quick-sized): with 8 channel shards the
-	// per-pair horizons have the most coupling to avoid — channels never
-	// talk to each other, so only the 2(n−1) home edges constrain the
-	// windows, where the PR-6 global minimum coupled all n(n−1).
+	// The same point on the 8-channel gem5 Graviton 3 model (cores scaled
+	// down so the point stays Quick-sized): the widest memory system in
+	// the suite.
 	fig4 := platform.Gem5Graviton3()
 	fig4.Cores = 12
 	add(best(func() Result {
@@ -573,20 +435,6 @@ func main() {
 			}
 		})
 	}))
-	if n := shardsFor(fig4.DRAM.Channels); n >= 2 {
-		sopt := popt
-		sopt.Shards = n
-		add(best(func() Result {
-			r := measure("framework/fig4_point_sharded", 0, func() {
-				if _, err := bench.MeasurePoint(fig4, sopt, bench.Mix{}, 0); err != nil {
-					cli.Fatal(err)
-				}
-			})
-			r.GOMAXPROCS = runtime.GOMAXPROCS(0)
-			return r
-		}))
-	}
-
 	// The fig6-class trace-replay pair: one mid-pressure trace (40% stores,
 	// 16 ns pacing) is captured once on the same Quick-scaled Skylake, then
 	// replayed in full (framework/fig6_replay) and through the

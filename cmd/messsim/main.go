@@ -41,7 +41,6 @@ func main() {
 		cacheDir = flag.String("cache-dir", "", "persist curve families under this directory")
 		cacheMax = flag.Int("cache-max-mb", 0, "bound the curve cache size in MiB (0 = unbounded); LRU eviction")
 		cacheURL = flag.String("cache-url", "", cli.CurveURLUsage)
-		shards   = flag.Int("shards", 1, "engines per measurement point for the reference characterization (≥2 shards the DRAM channels; execution-only, results are byte-identical)")
 		timeout  = flag.Duration("timeout", 0, cli.TimeoutUsage)
 	)
 	tel := cli.TelemetryFlags()
@@ -53,7 +52,6 @@ func main() {
 	if *full {
 		opt = bench.Options{}
 	}
-	opt.Shards = *shards
 
 	ctx, stop := cli.Context(*timeout)
 	defer stop()

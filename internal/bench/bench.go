@@ -68,36 +68,13 @@ type Options struct {
 	// Backend overrides the memory system under test; nil uses the
 	// platform's detailed DRAM model.
 	Backend mem.BackendFactory
-	// ShardedBackend is the sharded counterpart of Backend: it builds the
-	// backend on the group (devices on non-home shards, declaring their
-	// lookahead edges) and is used instead of Backend whenever a point
-	// runs sharded. Setting it alongside Backend lets a custom backend —
-	// a CXL expander, say — ride the shard group the way the detailed
-	// DRAM system does; results must be byte-identical to the Backend
-	// path (the CXL-sharded determinism leg enforces it), so it is
-	// execution-only and cleared by Normalized.
-	ShardedBackend func(group *sim.ShardGroup) mem.TimedBackend
 	// Cache overrides the platform's derived cache configuration — used
 	// for failure injection (e.g. the OpenPiton clean-eviction bug).
 	Cache *cache.Config
-	// Shards, when at least 2, runs each measurement point on a
-	// conservative time-window shard group of that many engines instead of
-	// one: the DRAM channels advance concurrently on shards 1..Shards-1
-	// while the cores and cache stay on shard 0, cutting single-point
-	// wall-clock on multi-channel platforms. Results are byte-identical to
-	// the single-engine path (the fig2 determinism test enforces it), so
-	// Shards is execution-only and cleared by Normalized. Silently ignored
-	// when a point cannot shard: a custom Backend owns its own engine
-	// placement, and a zero on-chip hop leaves the home shard no lookahead.
-	Shards int
-	// NoShard forces the single-engine path even when Shards asks for
-	// sharding — the A/B knob of the sharding determinism tests.
-	NoShard bool
-	// Telemetry, when set, observes the run: per-point spans and sharded
-	// window timelines on its tracer, sweep counters and throughput on its
-	// registry. Observation never changes results (the determinism tests
-	// run with it attached), so it is execution-only and cleared by
-	// Normalized.
+	// Telemetry, when set, observes the run: per-point spans on its
+	// tracer, sweep counters and throughput on its registry. Observation
+	// never changes results (the determinism tests run with it attached),
+	// so it is execution-only and cleared by Normalized.
 	Telemetry *telemetry.Set
 }
 
@@ -125,15 +102,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.Parallelism == 0 {
 		out.Parallelism = runtime.GOMAXPROCS(0)
-		if out.Shards > 1 {
-			// Sharded points each occupy Shards goroutines; dividing the
-			// point-level parallelism keeps the two levels multiplying out
-			// to the machine instead of oversubscribing its spin barriers.
-			out.Parallelism = runtime.GOMAXPROCS(0) / out.Shards
-			if out.Parallelism < 1 {
-				out.Parallelism = 1
-			}
-		}
 	}
 	return out
 }
@@ -149,12 +117,6 @@ func (o Options) Normalized() Options {
 	out := o.withDefaults()
 	out.Parallelism = 0
 	out.Backend = nil
-	out.ShardedBackend = nil
-	// Sharding is an execution strategy: a sharded and an unsharded run of
-	// the same sweep produce byte-identical families (the determinism test
-	// enforces it), so both may share one cache entry.
-	out.Shards = 0
-	out.NoShard = false
 	out.Telemetry = nil
 	return out
 }
@@ -225,18 +187,12 @@ func RunContext(ctx context.Context, spec platform.Spec, opt Options) (*Result, 
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	shards := o.shardCount(spec)
 
 	// Telemetry is pure observation: nil-safe metric handles and tracer
 	// calls, so the uninstrumented path pays a few nil checks per point.
 	tr := o.Telemetry.Trace()
 	reg := o.Telemetry.Registry()
 	pointsC := reg.Counter("mess_bench_points_total", "benchmark sweep points simulated")
-	windowsC := reg.Counter("mess_sim_windows_total", "shard-group barrier windows executed")
-	msgsC := reg.Counter("mess_sim_messages_total", "cross-shard messages delivered")
-	spinsC := reg.Counter("mess_sim_barrier_spins_total", "barrier spin iterations while waiting")
-	yieldsC := reg.Counter("mess_sim_barrier_yields_total", "barrier runtime.Gosched calls while waiting")
-	parksC := reg.Counter("mess_sim_barrier_parks_total", "barrier parks (blocking waits)")
 	var totalSteps atomic.Uint64
 	wallStart := time.Now()
 	var sweepSpan telemetry.SpanTimer
@@ -254,21 +210,9 @@ func RunContext(ctx context.Context, spec platform.Spec, opt Options) (*Result, 
 		}
 		go func() {
 			defer wg.Done()
-			// Each worker owns its engines for the whole sweep and Resets
-			// them between points: one engine on the single-engine path, a
-			// shard group (home engine + channel shards, with their worker
-			// goroutines parked between windows) on the sharded one.
-			var (
-				eng   *sim.Engine
-				group *sim.ShardGroup
-			)
-			if shards > 1 {
-				group = sim.NewShardGroup(shards)
-				defer group.Close()
-				eng = group.Engine(0)
-			} else {
-				eng = sim.New()
-			}
+			// Each worker owns one engine for the whole sweep and Resets it
+			// between points.
+			eng := sim.New()
 			for ji := range feed {
 				if ctx.Err() != nil {
 					// Cancelled while this job was already handed out: skip
@@ -276,32 +220,15 @@ func RunContext(ctx context.Context, spec platform.Spec, opt Options) (*Result, 
 					// feeder never blocks.
 					continue
 				}
-				if group != nil {
-					group.Reset()
-				} else {
-					eng.Reset()
-				}
+				eng.Reset()
 				j := jobs[ji]
 				if j.mixIdx < 0 {
-					samples[ji], errs[ji] = measureWith(eng, group, spec, o, track, Mix{}, 0, 0)
+					samples[ji], errs[ji] = measureWith(eng, spec, o, track, Mix{}, 0, 0)
 				} else {
-					samples[ji], errs[ji] = measureWith(eng, group, spec, o, track, o.Mixes[j.mixIdx], o.PacesNs[j.paceIdx], spec.Cores-1)
+					samples[ji], errs[ji] = measureWith(eng, spec, o, track, o.Mixes[j.mixIdx], o.PacesNs[j.paceIdx], spec.Cores-1)
 				}
 				pointsC.Inc()
-				if group != nil {
-					totalSteps.Add(group.Steps())
-					// Stats cover this point only (Reset cleared them), so
-					// adding per point accumulates the whole sweep across
-					// all workers in the shared counters.
-					st := group.Stats()
-					windowsC.Add(int64(st.Windows))
-					msgsC.Add(int64(st.Messages))
-					spinsC.Add(int64(st.Spins))
-					yieldsC.Add(int64(st.Yields))
-					parksC.Add(int64(st.Parks))
-				} else {
-					totalSteps.Add(eng.Steps())
-				}
+				totalSteps.Add(eng.Steps())
 			}
 		}()
 	}
@@ -336,101 +263,41 @@ feedLoop:
 	return &Result{Spec: spec, Family: fam, Samples: samples[1:]}, nil
 }
 
-// MeasurePoint simulates one fully-loaded sweep point on its own engine (or
-// shard group, when the options ask for one) and reports its sample — the
-// interactive "explore this configuration now" case whose wall-clock the
-// sharded engine targets. Generators occupy every core but the chaser's.
+// MeasurePoint simulates one fully-loaded sweep point on its own engine and
+// reports its sample — the interactive "explore this configuration now"
+// case. Generators occupy every core but the chaser's.
 func MeasurePoint(spec platform.Spec, opt Options, mix Mix, paceNs float64) (Sample, error) {
 	o := opt.withDefaults()
 	var track telemetry.Track
 	if tr := o.Telemetry.Trace(); tr != nil {
 		track = tr.NewTrack("bench", "point")
 	}
-	if shards := o.shardCount(spec); shards > 1 {
-		group := sim.NewShardGroup(shards)
-		defer group.Close()
-		return measureWith(group.Engine(0), group, spec, o, track, mix, paceNs, spec.Cores-1)
-	}
-	return measureWith(sim.New(), nil, spec, o, track, mix, paceNs, spec.Cores-1)
+	return measureWith(sim.New(), spec, o, track, mix, paceNs, spec.Cores-1)
 }
 
 // MeasureUnloaded runs only the pointer chase and reports the unloaded
 // load-to-use latency — the LMbench/multichase validation measurement.
 func MeasureUnloaded(spec platform.Spec, opt Options) (float64, error) {
 	o := opt.withDefaults()
-	s, err := measureWith(sim.New(), nil, spec, o, telemetry.Track{}, Mix{}, 0, 0) // zero generators
+	s, err := measureWith(sim.New(), spec, o, telemetry.Track{}, Mix{}, 0, 0) // zero generators
 	if err != nil {
 		return 0, err
 	}
 	return s.LatNs, nil
 }
 
-// shardCount resolves the effective per-point shard-group size: 1 on the
-// single-engine path. Sharding needs the detailed DRAM backend (a custom
-// Backend factory owns its own engine placement), a positive outbound
-// on-chip hop (it becomes the home shard's lookahead), and never more
-// channel shards than the platform has channels.
-func (o *Options) shardCount(spec platform.Spec) int {
-	if o.Shards < 2 || o.NoShard {
-		return 1
-	}
-	if o.Backend != nil && o.ShardedBackend == nil {
-		return 1
-	}
-	ccfg := spec.CacheConfig()
-	if o.Cache != nil {
-		ccfg = *o.Cache
-	}
-	if ccfg.OnChipLatency/2 < 1 {
-		return 1
-	}
-	n := o.Shards
-	if o.ShardedBackend == nil {
-		// Detailed-DRAM sharding: never more channel shards than the
-		// platform has channels. A custom sharded backend owns its own
-		// device placement, so the cap does not apply.
-		if m := spec.DRAM.Channels + 1; n > m {
-			n = m
-		}
-	}
-	if n < 2 {
-		return 1
-	}
-	return n
-}
-
 // measureWith simulates one sweep point on the given engine, which must be
-// fresh or Reset. A non-nil group (whose home engine eng must be) runs the
-// point sharded: the DRAM channels advance on the group's other shards,
-// and the warmup/measure windows are driven through the group's
-// conservative window barrier, whose quiescent boundaries make the counter
-// snapshots read exactly the state the single-engine run would see.
-func measureWith(eng *sim.Engine, group *sim.ShardGroup, spec platform.Spec, o Options, track telemetry.Track, mix Mix, paceNs float64, generators int) (Sample, error) {
+// fresh or Reset.
+func measureWith(eng *sim.Engine, spec platform.Spec, o Options, track telemetry.Track, mix Mix, paceNs float64, generators int) (Sample, error) {
 	tr := o.Telemetry.Trace()
 	var sp telemetry.SpanTimer
 	if tr != nil {
-		name := pointName(mix, paceNs, generators)
-		sp = tr.Begin(track, name)
-		if group != nil {
-			// The point's barrier windows go on their own sim-time track:
-			// timestamps are the home shard's simulated clock, so the row
-			// reads as the point's simulated timeline, not wall time.
-			wt := tr.NewTrack("sim", name)
-			group.SetWindowHook(func(start, end sim.Time) {
-				tr.Span(wt, "window", int64(start/sim.Nanosecond), int64((end-start)/sim.Nanosecond))
-			})
-			defer group.SetWindowHook(nil)
-		}
+		sp = tr.Begin(track, pointName(mix, paceNs, generators))
 	}
 	var backend mem.Backend
-	switch {
-	case group != nil && o.ShardedBackend != nil:
-		backend = o.ShardedBackend(group)
-	case o.Backend != nil:
+	if o.Backend != nil {
 		backend = o.Backend(eng)
-	case group != nil:
-		backend = dram.NewSharded(group, spec.DRAM, 0)
-	default:
+	} else {
 		backend = dram.New(eng, spec.DRAM)
 	}
 	counting := mem.NewCounting(backend)
@@ -439,15 +306,6 @@ func measureWith(eng *sim.Engine, group *sim.ShardGroup, spec platform.Spec, o O
 		ccfg = *o.Cache
 	}
 	hier := cache.New(eng, ccfg, counting)
-	if group != nil {
-		// The cache's outbound hop is the minimum flight time of every
-		// home→channel delivery, i.e. the home shard's outbound edge to
-		// each device shard. Tighten rather than set: a sharded backend
-		// factory may already have declared a smaller hop for its shard.
-		for sh := 1; sh < group.Shards(); sh++ {
-			group.TightenLookahead(0, sh, hier.Config().OnChipLatency/2)
-		}
-	}
 
 	// Pointer chaser on core 0, in its own address region.
 	const chaseBase = 1 << 40
@@ -472,14 +330,8 @@ func measureWith(eng *sim.Engine, group *sim.ShardGroup, spec platform.Spec, o O
 		gens = append(gens, gen)
 	}
 
-	// Warm up, then measure over a counter delta. The sharded path drives
-	// the whole group; its engines are all quiescent at the target time
-	// when RunUntil returns, so the snapshots below are barrier-ordered.
-	runUntil := eng.RunUntil
-	if group != nil {
-		runUntil = group.RunUntil
-	}
-	runUntil(o.Warmup)
+	// Warm up, then measure over a counter delta.
+	eng.RunUntil(o.Warmup)
 	chaser.ResetStats()
 	c0 := counting.Snapshot()
 	var rs0 dram.RowStats
@@ -489,7 +341,7 @@ func measureWith(eng *sim.Engine, group *sim.ShardGroup, spec platform.Spec, o O
 	}
 	t0 := eng.Now()
 
-	runUntil(o.Warmup + o.Measure)
+	eng.RunUntil(o.Warmup + o.Measure)
 	c1 := counting.Snapshot()
 	t1 := eng.Now()
 	lat, n := chaser.MeanLatency()

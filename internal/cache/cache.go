@@ -328,9 +328,9 @@ func (p *Port) request(addr uint64, op mem.Op, done mem.DoneFunc, user func(at s
 		p.h.backend.Access(req)
 		return
 	}
-	// A timed backend routes the hop itself — the seam that lets a sharded
-	// DRAM system land the delivery on the owning channel's shard. The
-	// outbound hop doubles as the home shard's cross-shard lookahead.
+	// A timed backend routes the hop itself, so a CountingBackend in front
+	// of it counts the request as in flight at send rather than at
+	// delivery. That is the accounting the charz/v3 fingerprint names.
 	if p.h.timed != nil {
 		p.h.timed.AccessAt(req, p.h.eng.Now()+outbound)
 		return

@@ -355,14 +355,6 @@ func TestFingerprintStability(t *testing.T) {
 	if Fingerprint(same) != k {
 		t.Fatal("Parallelism leaked into the fingerprint")
 	}
-	// Sharding is execution-only too: sharded results are byte-identical,
-	// so sharded and unsharded environments must share cache entries.
-	sharded := base()
-	sharded.Options.Shards = 4
-	sharded.Options.NoShard = true
-	if Fingerprint(sharded) != k {
-		t.Fatal("Shards/NoShard leaked into the fingerprint")
-	}
 	// Explicitly writing a default must equal leaving it zero.
 	defaulted := base()
 	defaulted.Options.ChaseLines = 1 << 19

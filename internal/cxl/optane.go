@@ -26,8 +26,7 @@ type Optane struct {
 	eng *sim.Engine
 	cfg OptaneConfig
 
-	tag      int32
-	complete completeFunc
+	tag int32
 
 	readFree  sim.Time
 	writeFree sim.Time
@@ -63,27 +62,12 @@ func NewOptane(eng *sim.Engine, cfg OptaneConfig) *Optane {
 		cfg.Modules = 1
 	}
 	o := &Optane{eng: eng, cfg: cfg, tag: DevTagBase}
-	o.complete = func(req *mem.Request, at sim.Time) { req.CompleteAtTagged(o.eng, at, o.tag) }
 	return o
 }
 
 // SetTag assigns the completion-entity tag (default DevTagBase); see
 // Expander.SetTag.
 func (o *Optane) SetTag(tag int32) { o.tag = tag }
-
-// MinLookahead is the decision-to-completion slack: Access commits each
-// completion no less than the relevant module latency before it lands —
-// start ≥ now, so writes land ≥ WriteLatency and reads ≥ ReadLatency
-// after the deciding instant.
-func (o *Optane) MinLookahead() sim.Time {
-	if o.cfg.WriteLatency < o.cfg.ReadLatency {
-		return o.cfg.WriteLatency
-	}
-	return o.cfg.ReadLatency
-}
-
-func (o *Optane) setComplete(fn completeFunc) { o.complete = fn }
-func (o *Optane) completionTag() int32        { return o.tag }
 
 // MaxReadGBs reports the aggregate sustained read bandwidth.
 func (o *Optane) MaxReadGBs() float64 { return o.cfg.ReadGBs * float64(o.cfg.Modules) }
@@ -98,7 +82,7 @@ func (o *Optane) Access(req *mem.Request) {
 		svc := sim.FromNanoseconds(bytes / (o.cfg.WriteGBs * float64(o.cfg.Modules)))
 		start := maxT(now, o.writeFree)
 		o.writeFree = start + svc
-		o.complete(req, start+o.cfg.WriteLatency)
+		req.CompleteAtTagged(o.eng, start+o.cfg.WriteLatency, o.tag)
 		return
 	}
 	svc := sim.FromNanoseconds(bytes / (o.cfg.ReadGBs * float64(o.cfg.Modules)))
@@ -108,7 +92,7 @@ func (o *Optane) Access(req *mem.Request) {
 		start += o.cfg.WriteStall
 	}
 	o.readFree = start + svc
-	o.complete(req, start+svc+o.cfg.ReadLatency)
+	req.CompleteAtTagged(o.eng, start+svc+o.cfg.ReadLatency, o.tag)
 }
 
 func maxT(a, b sim.Time) sim.Time {

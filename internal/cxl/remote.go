@@ -22,8 +22,7 @@ type RemoteSocket struct {
 	pool   *mem.RequestPool
 	doneFn mem.DoneFunc
 
-	tag      int32
-	complete completeFunc
+	tag int32
 }
 
 // RemoteSocketConfig parameterizes the emulation.
@@ -60,20 +59,12 @@ func NewRemoteSocket(eng *sim.Engine, cfg RemoteSocketConfig) *RemoteSocket {
 		tag:  DevTagBase,
 	}
 	r.doneFn = r.remoteDone
-	r.complete = func(req *mem.Request, at sim.Time) { req.CompleteAtTagged(r.eng, at, r.tag) }
 	return r
 }
 
 // SetTag assigns the completion-entity tag (default DevTagBase); see
 // Expander.SetTag.
 func (r *RemoteSocket) SetTag(tag int32) { r.tag = tag }
-
-// MinLookahead is the decision-to-completion slack: remoteDone commits
-// each completion exactly one inter-socket hop before it lands.
-func (r *RemoteSocket) MinLookahead() sim.Time { return r.hop }
-
-func (r *RemoteSocket) setComplete(fn completeFunc) { r.complete = fn }
-func (r *RemoteSocket) completionTag() int32        { return r.tag }
 
 // PeakBandwidthGBs reports the remote memory's theoretical bandwidth.
 func (r *RemoteSocket) PeakBandwidthGBs() float64 { return r.peak }
@@ -90,7 +81,7 @@ func (r *RemoteSocket) Access(req *mem.Request) {
 
 // remoteDone completes the host request one hop after the remote DDR does.
 func (r *RemoteSocket) remoteDone(ddrDone sim.Time, inner *mem.Request) {
-	r.complete(inner.Parent, ddrDone+r.hop)
+	inner.Parent.CompleteAtTagged(r.eng, ddrDone+r.hop, r.tag)
 }
 
 // RemoteSocketFamily measures the remote-socket emulation's curves with the

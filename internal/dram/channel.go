@@ -275,16 +275,10 @@ type channel struct {
 	// whose events the engine already served are pruned lazily on push.
 	compRing [dirCount]handleRing
 
-	// complete, when set, replaces CompleteAtTagged as the completion
-	// path: the sharded system installs a hook that transmits the
-	// request's prebuilt fire closure back to its home shard, so Done and
-	// the pool release always run on the pool's own goroutine.
-	complete func(req *mem.Request, at sim.Time)
-
-	// tag is the channel's entity tag (global channel index + 1): every
-	// event the channel schedules — decides and completions — carries it,
-	// so equal-instant ties against other channels and against untagged
-	// home events resolve by tag, identically sharded or not.
+	// tag is the channel's entity tag (channel index + 1): every event the
+	// channel schedules — decides and completions — carries it, so
+	// equal-instant ties against other channels and against untagged
+	// events resolve by tag rather than by schedule order.
 	tag int32
 
 	counters mem.Counters
@@ -972,20 +966,12 @@ func (c *channel) issue(idx int32, isWrite bool) {
 	if isWrite {
 		// Posted write: completion (= write-queue acceptance upstream,
 		// drain here) releases the pooled record at the burst end.
-		if c.complete != nil {
-			c.complete(req, dataEnd)
-			return
-		}
 		c.pushComp(dirWrite, req.CompleteAtTagged(c.eng, dataEnd, c.tag))
 		return
 	}
 	completion := dataEnd + c.cfg.CtrlLatency
 	c.readLatSum += completion - s.at
 	c.readLatN++
-	if c.complete != nil {
-		c.complete(req, completion)
-		return
-	}
 	c.pushComp(dirRead, req.CompleteAtTagged(c.eng, completion, c.tag))
 }
 

@@ -46,10 +46,10 @@ func (s *System) Access(req *mem.Request) {
 }
 
 // AccessAt submits one transaction for delivery at absolute time at — the
-// backend-routed form of the issuer's SendAt hop (mem.TimedBackend). On the
-// single-engine system this schedules the same delivery event the issuer
-// would have; it exists so issuers drive this system and the sharded one
-// through one code path.
+// backend-routed form of the issuer's SendAt hop (mem.TimedBackend). It
+// schedules the same delivery event the issuer would have; the cache
+// hierarchy sends through it so that a CountingBackend in front of the
+// system counts the request at send, the charz/v3 accounting.
 func (s *System) AccessAt(req *mem.Request, at sim.Time) {
 	req.SendAt(s.eng, s, at)
 }

@@ -8,12 +8,8 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/mess-sim/mess/internal/bench"
 	"github.com/mess-sim/mess/internal/charz"
-	"github.com/mess-sim/mess/internal/cxl"
-	"github.com/mess-sim/mess/internal/mem"
 	"github.com/mess-sim/mess/internal/platform"
-	"github.com/mess-sim/mess/internal/sim"
 	"github.com/mess-sim/mess/internal/telemetry"
 )
 
@@ -42,11 +38,12 @@ func fig2QuickCSV(t *testing.T) []byte {
 
 // TestFig2ReleaseCSVDeterminism is the bit-exactness gate of the DRAM
 // scheduler: the Quick fig2 sweep must produce byte-identical release CSVs
-// across runs, and with decide-event fusion disabled. This is the contract
-// manual diffing enforced during the PR-2/PR-3 refactors, promoted to a
-// test so `go test ./...` catches any scheduler change that perturbs the
-// curves — and any fusion bug, since fusion is legal exactly because it
-// cannot change results.
+// across runs, with decide-event fusion disabled and with completion
+// batching disabled. This is the contract manual diffing enforced during
+// the PR-2/PR-3 refactors, promoted to a test so `go test ./...` catches
+// any scheduler change that perturbs the curves — and any fusion or
+// batching bug, since both are legal exactly because they cannot change
+// results.
 func TestFig2ReleaseCSVDeterminism(t *testing.T) {
 	first := fig2QuickCSV(t)
 	if len(first) == 0 {
@@ -57,29 +54,22 @@ func TestFig2ReleaseCSVDeterminism(t *testing.T) {
 		t.Fatalf("fig2 release CSVs differ between identical runs:\nrun1:\n%s\nrun2:\n%s", first, second)
 	}
 
-	// The same characterization with fusion disabled: the scheduler takes
-	// only scheduled decide events, never the inline loop, and must land
-	// on the same curves byte for byte.
-	spec := scaleSpec(platform.Skylake(), Quick)
-	fused, err := NewEnv(Quick, charz.New(charz.Config{})).reference(spec)
-	if err != nil {
-		t.Fatal(err)
+	// The same characterization with each inline shortcut disabled: with
+	// NoFusion the scheduler takes only scheduled decide events, never the
+	// inline loop; with NoCompBatch every completion fires as its own
+	// scheduled event. Both must land on the same curves byte for byte.
+	base := referenceCSV(t, nil, nil)
+	legs := []struct {
+		name  string
+		tweak func(*platform.Spec)
+	}{
+		{"NoFusion", func(spec *platform.Spec) { spec.DRAM.NoFusion = true }},
+		{"NoCompBatch", func(spec *platform.Spec) { spec.DRAM.NoCompBatch = true }},
 	}
-	spec.DRAM.NoFusion = true
-	unfused, err := NewEnv(Quick, charz.New(charz.Config{})).reference(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bufFused, bufUnfused bytes.Buffer
-	if err := fused.WriteCSV(&bufFused); err != nil {
-		t.Fatal(err)
-	}
-	if err := unfused.WriteCSV(&bufUnfused); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bufFused.Bytes(), bufUnfused.Bytes()) {
-		t.Fatalf("decide-event fusion changed the curves:\nfused:\n%s\nunfused:\n%s",
-			bufFused.Bytes(), bufUnfused.Bytes())
+	for _, leg := range legs {
+		if got := referenceCSV(t, nil, leg.tweak); !bytes.Equal(base, got) {
+			t.Errorf("%s changed the curves:\nbase:\n%s\n%s:\n%s", leg.name, base, leg.name, got)
+		}
 	}
 }
 
@@ -106,46 +96,11 @@ func referenceCSV(t *testing.T, tweakEnv func(*Env), tweakSpec func(*platform.Sp
 	return buf.Bytes()
 }
 
-// TestShardedCharacterizationDeterminism is the bit-exactness gate of the
-// sharded engine: characterizing on per-channel shard engines advanced
-// concurrently under the conservative window barrier must land on the same
-// release CSV, byte for byte, as the single-engine run — across repeated
-// sharded runs, shard counts, the NoShard off-switch and with completion
-// batching disabled. Sharding is legal exactly because it cannot change
-// results; any divergence here is an ordering bug, not noise.
-func TestShardedCharacterizationDeterminism(t *testing.T) {
-	base := referenceCSV(t, nil, nil)
-	if len(base) == 0 {
-		t.Fatal("reference characterization produced no CSV output")
-	}
-	legs := []struct {
-		name      string
-		tweakEnv  func(*Env)
-		tweakSpec func(*platform.Spec)
-	}{
-		{"sharded-4", func(env *Env) { env.Shards = 4 }, nil},
-		{"sharded-4-again", func(env *Env) { env.Shards = 4 }, nil},
-		{"sharded-2", func(env *Env) { env.Shards = 2 }, nil},
-		{"noshard-override", func(env *Env) { env.Shards = 4; env.NoShard = true }, nil},
-		{"sharded-nocompbatch", func(env *Env) { env.Shards = 4 },
-			func(spec *platform.Spec) { spec.DRAM.NoCompBatch = true }},
-	}
-	for _, leg := range legs {
-		got := referenceCSV(t, func(env *Env) {
-			leg.tweakEnv(env)
-		}, leg.tweakSpec)
-		if !bytes.Equal(base, got) {
-			t.Errorf("%s: release CSV differs from the unsharded run:\nunsharded:\n%s\n%s:\n%s",
-				leg.name, base, leg.name, got)
-		}
-	}
-}
-
 // telemetryCSVAndSpans characterizes the Quick-scaled Skylake reference
 // with telemetry fully enabled — registry, tracer and a verbose logger —
 // and returns the release CSV plus the sorted names of every complete
 // span the run recorded.
-func telemetryCSVAndSpans(t *testing.T, shards int) ([]byte, []string, *telemetry.Set) {
+func telemetryCSVAndSpans(t *testing.T) ([]byte, []string, *telemetry.Set) {
 	t.Helper()
 	set := &telemetry.Set{
 		Metrics: telemetry.NewRegistry(),
@@ -154,7 +109,6 @@ func telemetryCSVAndSpans(t *testing.T, shards int) ([]byte, []string, *telemetr
 	}
 	csv := referenceCSV(t, func(env *Env) {
 		env.Charz = charz.New(charz.Config{Telemetry: set})
-		env.Shards = shards
 	}, nil)
 	var buf bytes.Buffer
 	if err := set.Tracer.WriteChrome(&buf); err != nil {
@@ -191,16 +145,15 @@ func countSpans(names []string, prefix string) int {
 }
 
 // TestTelemetryEnabledDeterminism is the observability contract of the
-// telemetry layer: with metrics, tracing and verbose logging all enabled —
-// on both the single-engine and the sharded runtime — the release CSVs
-// must stay byte-identical to the uninstrumented run, the recorded span
-// structure must be deterministic across runs, and the taxonomy's three
-// core span families (charz fill, bench point, barrier window) must
-// actually be present.
+// telemetry layer: with metrics, tracing and verbose logging all enabled,
+// the release CSVs must stay byte-identical to the uninstrumented run, the
+// recorded span structure must be deterministic across runs, and the
+// taxonomy's core span families (charz fill, bench point) must actually
+// be present.
 func TestTelemetryEnabledDeterminism(t *testing.T) {
 	base := referenceCSV(t, nil, nil)
 
-	csv1, spans1, set := telemetryCSVAndSpans(t, 0)
+	csv1, spans1, set := telemetryCSVAndSpans(t)
 	if !bytes.Equal(base, csv1) {
 		t.Errorf("telemetry-enabled release CSV differs from the uninstrumented run:\nbase:\n%s\ninstrumented:\n%s", base, csv1)
 	}
@@ -218,7 +171,7 @@ func TestTelemetryEnabledDeterminism(t *testing.T) {
 		t.Error("charz run counter stayed 0 on an instrumented characterization")
 	}
 
-	_, spans2, _ := telemetryCSVAndSpans(t, 0)
+	_, spans2, _ := telemetryCSVAndSpans(t)
 	if len(spans1) != len(spans2) || func() bool {
 		for i := range spans1 {
 			if spans1[i] != spans2[i] {
@@ -228,74 +181,5 @@ func TestTelemetryEnabledDeterminism(t *testing.T) {
 		return false
 	}() {
 		t.Errorf("span structure differs between identical runs:\nrun1: %v\nrun2: %v", spans1, spans2)
-	}
-
-	csvSharded, spansSharded, shardedSet := telemetryCSVAndSpans(t, 2)
-	if !bytes.Equal(base, csvSharded) {
-		t.Errorf("telemetry-enabled sharded release CSV differs from the uninstrumented run:\nbase:\n%s\nsharded:\n%s", base, csvSharded)
-	}
-	if got := countSpans(spansSharded, "window"); got == 0 {
-		t.Error("no barrier-window spans recorded on the sharded leg")
-	}
-	if snap := shardedSet.Metrics.Snapshot(); snap["mess_sim_windows_total"] == 0 {
-		t.Error("mess_sim_windows_total stayed 0 on a sharded sweep")
-	}
-}
-
-// cxlCharacterizationCSV characterizes the Quick-scaled Skylake host
-// against a CXL expander backend and returns the family's CSV bytes.
-// With shards ≥ 2 the expander (and its device-side DDR system) runs on
-// its own shard engine via Options.ShardedBackend; otherwise it shares
-// the host's single engine.
-func cxlCharacterizationCSV(t *testing.T, shards int) []byte {
-	t.Helper()
-	spec := scaleSpec(platform.Skylake(), Quick)
-	cfg := cxl.Default()
-	opt := benchOptions(Quick)
-	opt.Parallelism = 2
-	// The sharded leg is necessarily timed (issues cross shards with the
-	// hop as delivery delay), and a timed hand-off accounts traffic at
-	// send. Wrapping the single-engine expander in TimedOn makes the
-	// reference leg timed too, so both legs count in-flight requests at
-	// the same instant at the measurement-window boundaries.
-	opt.Backend = func(eng *sim.Engine) mem.Backend {
-		return &mem.TimedOn{Eng: eng, Inner: cxl.New(eng, cfg)}
-	}
-	if shards >= 2 {
-		opt.Shards = shards
-		hop := spec.CacheConfig().OnChipLatency / 2
-		opt.ShardedBackend = func(group *sim.ShardGroup) mem.TimedBackend {
-			dev, _ := cxl.NewShardedExpander(group, 0, 1, cfg, hop)
-			return dev
-		}
-	}
-	res, err := bench.Run(spec, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.Family.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestCXLShardedCharacterizationDeterminism extends the bit-exactness
-// gate to device shards: a whole characterization sweep against a CXL
-// expander running on its own shard engine (through the
-// Options.ShardedBackend seam) must land on the same release CSV, byte
-// for byte, as the single-engine run — including with a third, idle
-// shard, which under per-pair horizons places no bound on the others.
-func TestCXLShardedCharacterizationDeterminism(t *testing.T) {
-	base := cxlCharacterizationCSV(t, 0)
-	if len(base) == 0 {
-		t.Fatal("CXL characterization produced no CSV output")
-	}
-	for _, shards := range []int{2, 3} {
-		got := cxlCharacterizationCSV(t, shards)
-		if !bytes.Equal(base, got) {
-			t.Errorf("shards=%d: CXL release CSV differs from the unsharded run:\nunsharded:\n%s\nsharded:\n%s",
-				shards, base, got)
-		}
 	}
 }

@@ -141,10 +141,8 @@ type ClosedLoopDriver struct {
 	done    mem.DoneFunc
 	pattern LoopPattern
 
-	// Sharded form (NewShardedClosedLoop): the driver lives on the group's
-	// home shard, every issue crosses to the owning channel shard after
-	// hop, and Run drives the whole group.
-	group *sim.ShardGroup
+	// Timed form (NewTimedClosedLoop): every issue is delivered hop after
+	// it is made, through the backend's AccessAt.
 	timed mem.TimedBackend
 	hop   sim.Time
 
@@ -178,22 +176,10 @@ func NewClosedLoopPattern(eng *sim.Engine, backend mem.Backend, pattern LoopPatt
 	return d
 }
 
-// NewShardedClosedLoop builds a driver on the group's home shard issuing
-// through a sharded (timed) backend. hop is the core→controller flight
-// time of every request — the delivery delay of each issue and therefore
-// the home shard's declared lookahead, exactly the role the cache's
-// outbound on-chip hop plays in the benchmark topology.
-func NewShardedClosedLoop(group *sim.ShardGroup, backend mem.TimedBackend, hop sim.Time, pattern LoopPattern) *ClosedLoopDriver {
-	d := NewClosedLoopPattern(group.Engine(0), backend, pattern)
-	d.group, d.timed, d.hop = group, backend, hop
-	group.SetLookaheadOut(0, hop)
-	return d
-}
-
-// NewTimedClosedLoop builds a single-engine driver that issues with the
-// same per-request delivery delay a sharded driver would use — the
-// unsharded reference leg for completion-trace and A/B comparisons
-// against NewShardedClosedLoop.
+// NewTimedClosedLoop builds a driver that delivers every request hop
+// after issuing it, through the backend's AccessAt — the core→controller
+// flight time the cache's outbound on-chip hop plays in the benchmark
+// topology.
 func NewTimedClosedLoop(eng *sim.Engine, backend mem.TimedBackend, hop sim.Time, pattern LoopPattern) *ClosedLoopDriver {
 	d := NewClosedLoopPattern(eng, nil, pattern)
 	d.timed, d.hop = backend, hop
@@ -235,11 +221,7 @@ func (d *ClosedLoopDriver) Run(n int) {
 	for i := 0; i < 256 && i < n; i++ {
 		d.issue()
 	}
-	if d.group != nil {
-		d.group.Run()
-	} else {
-		d.eng.Run()
-	}
+	d.eng.Run()
 	if d.completed < d.target {
 		panic(fmt.Sprintf("perfload: backend completed %d of %d requests (lost completion?)",
 			d.completed-(d.target-n), n))

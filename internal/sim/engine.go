@@ -84,7 +84,7 @@ const (
 // still points at it.
 type event struct {
 	at    Time
-	key   Time   // schedule instant (or cross-engine send instant): first tie-break
+	key   Time   // schedule instant (or ScheduleTimedSent's instant): first tie-break
 	seq   uint64 // final tie-break so equal-(at, key, tag) events run in schedule order
 	gen   uint64 // bumped on recycle; Handles must match to act
 	tag   int32  // scheduling entity (0 = default); orders (at, key) ties across entities
@@ -197,12 +197,10 @@ func (e *Engine) add(at Time, fn func(), tfn func(Time)) Handle {
 
 // ScheduleTagged is Schedule with an explicit entity tag: equal-(deadline,
 // schedule instant) events fire in tag order before falling back to
-// schedule order. Entities whose events are observable from other engines
-// under sharding (DRAM channels) schedule with their globally unique tag,
-// which makes cross-entity tie order a pure function of (at, key, tag) —
-// identical whether the entities share one engine or run on separate
-// shards — instead of an artifact of global schedule interleaving that a
-// sharded run cannot reproduce.
+// schedule order. DRAM channels schedule with tag i+1 and device models
+// with their device tag, so a same-instant tie between two entities
+// resolves by entity rather than by which one happened to schedule first.
+// The release CSVs and the charz/v3 fingerprint are defined by this order.
 func (e *Engine) ScheduleTagged(at Time, tag int32, fn func()) Handle {
 	return e.addKeyed(at, e.now, tag, fn, nil)
 }
@@ -213,14 +211,12 @@ func (e *Engine) ScheduleTimedTagged(at Time, tag int32, fn func(Time)) Handle {
 }
 
 // ScheduleTimedSent queues fn to run at absolute time at, ordered among
-// equal-deadline events as if it had been scheduled at time sent with tag
-// tag — the injection form used by the shard coordinator to merge
-// cross-engine messages. On a single engine, events tying on deadline fire
-// in (schedule instant, tag, schedule order); an injected event carrying
-// its sender's clock and tag therefore sorts exactly where the equivalent
-// single-engine schedule call (made at the send instant) would have
-// landed, even though the receiving engine's clock has already passed
-// sent.
+// equal-deadline events as if it had been scheduled at instant sent with
+// tag tag. Equal-deadline events fire in (schedule instant, tag, schedule
+// order), so an explicit sent instant places the event ahead of or behind
+// local schedules targeting the same deadline. Trace replay uses it with
+// a sentinel instant so its bounded dispatch window fires each record
+// exactly where pre-scheduling the whole trace would have.
 func (e *Engine) ScheduleTimedSent(at, sent Time, tag int32, fn func(Time)) Handle {
 	return e.addKeyed(at, sent, tag, nil, fn)
 }
@@ -260,16 +256,13 @@ func (e *Engine) addKeyed(at, key Time, tag int32, fn func(), tfn func(Time)) Ha
 }
 
 // less is the kernel's total event order: deadline, then schedule instant
-// (send instant for cross-engine injections), then entity tag, then
-// schedule order. For locally scheduled events key is the nondecreasing
-// engine clock, so among untagged events the order coincides with the
-// historical (at, seq) order. The key separates ties when an injected
-// event's send instant predates local schedules targeting the same
-// deadline; the tag separates full (at, key) ties across entities so the
-// order is reproducible on sharded engines, where the entities' relative
-// schedule interleaving is unknowable. Two events tying on all of (at,
-// key, tag) come from one entity, whose own schedule order (seq) is the
-// same sharded or not.
+// (the explicit instant for ScheduleTimedSent), then entity tag, then
+// schedule order. For plain schedules key is the nondecreasing engine
+// clock and tag is 0, so among them the order coincides with the
+// historical (at, seq) order. The key lets trace replay's sentinel
+// instant sort ahead of local schedules; the tag orders same-instant ties
+// across DRAM channels and devices by entity. Two events tying on all of
+// (at, key, tag) come from one entity and fire in its schedule order.
 func less(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at

@@ -745,3 +745,42 @@ func TestCancelHeavySteadyStateAllocs(t *testing.T) {
 		t.Fatalf("cancel churn allocates %.4f/op at steady state, want ~0", per)
 	}
 }
+
+// TestScheduleTimedSentOrder pins the keyed total order: equal-deadline
+// events fire by (schedule/send instant, entity tag, schedule order), and
+// plain schedules carry the current clock as their instant.
+func TestScheduleTimedSentOrder(t *testing.T) {
+	eng := New()
+	var order []int
+	rec := func(id int) func(Time) {
+		return func(Time) { order = append(order, id) }
+	}
+	// All inserted at now=0 for deadline 100, in an order chosen to
+	// disagree with every tie-break level.
+	eng.ScheduleTimedSent(100, 5, 0, rec(5)) // latest instant: last
+	eng.ScheduleTimedSent(100, 3, 2, rec(4)) // instant 3, tag 2
+	eng.ScheduleTimedSent(100, 3, 1, rec(2)) // instant 3, tag 1, first scheduled
+	eng.ScheduleTimedSent(100, 3, 1, rec(3)) // same instant+tag: schedule order
+	eng.ScheduleTimed(100, rec(1))           // local: instant = now = 0, first
+	eng.Run()
+	for i, id := range order {
+		if id != i+1 {
+			t.Fatalf("fire order %v, want [1 2 3 4 5]", order)
+		}
+	}
+	if len(order) != 5 {
+		t.Fatalf("fired %d events, want 5", len(order))
+	}
+
+	// Channel tags: DRAM channel i schedules with tag i+1, so two channels
+	// whose events tie on (deadline, schedule instant) fire in channel
+	// order even when the higher channel scheduled first.
+	order = order[:0]
+	eng.ScheduleTagged(200, 3, func() { order = append(order, 3) })
+	eng.ScheduleTagged(200, 2, func() { order = append(order, 2) })
+	eng.ScheduleTimedTagged(200, 1, rec(1))
+	eng.Run()
+	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
+		t.Fatalf("tagged fire order %v, want [1 2 3]", order)
+	}
+}

@@ -249,13 +249,10 @@ func DefaultCharacterizationService() *CharacterizationService { return defaultC
 
 // CharzStats snapshots the default characterization service's cumulative
 // counters: simulations actually run versus memory/disk/remote cache hits.
-// It is one of the framework's two cumulative-counter surfaces — the other
-// is ShardStats (ShardGroup.Stats), which counts the sharded runtime's
-// windows, cross-shard messages and barrier escalations. Both read
-// consistent snapshots and are safe to poll from any goroutine; for a
-// continuously exported view of the same numbers (Prometheus text or
-// JSON), wire a telemetry registry through CharacterizationConfig instead
-// of polling.
+// It reads a consistent snapshot and is safe to poll from any goroutine;
+// for a continuously exported view of the same numbers (Prometheus text
+// or JSON), wire a telemetry registry through CharacterizationConfig
+// instead of polling.
 func CharzStats() CharacterizationStats { return defaultCharz.Stats() }
 
 // Characterize runs the Mess benchmark on the platform's detailed memory
@@ -370,28 +367,6 @@ const (
 // NewEngine returns a fresh simulation engine.
 func NewEngine() *Engine { return sim.New() }
 
-// ShardGroup advances several engines concurrently under a conservative
-// time-window barrier — the substrate of sharded multi-channel simulation.
-// Each src→dst pair carries its own lookahead bound (SetLookahead), so a
-// shard is only constrained by the shards that can actually reach it.
-// Results are deterministic: equal-time cross-shard events merge in a fixed
-// order, so a sharded run is byte-identical to its single-engine
-// equivalent. See BenchmarkOptions.Shards for the high-level knob.
-type ShardGroup = sim.ShardGroup
-
-// ShardStats snapshots a group's execution counters — windows run, their
-// mean width, cross-shard messages, barrier spin/yield/park escalations
-// and per-shard busy fractions. See ShardGroup.Stats.
-type ShardStats = sim.ShardStats
-
-// NewShardGroup builds a group of n engines (shard 0 runs on the calling
-// goroutine; the rest on parked workers). Close it when done.
-func NewShardGroup(n int) *ShardGroup { return sim.NewShardGroup(n) }
-
-// InfLookahead marks an undeclared shard pair: no messages, no window
-// coupling.
-const InfLookahead = sim.InfLookahead
-
 // NewSimulator builds the Mess analytical simulator on the engine.
 func NewSimulator(eng *Engine, cfg SimulatorConfig) *Simulator {
 	return messsim.New(eng, cfg)
@@ -429,11 +404,7 @@ func RemoteSocketCXLFamily() *Family { return cxl.RemoteSocketFamily(cxl.SweepOp
 // technology the Mess simulator release supports.
 func OptaneFamily() *Family { return cxl.OptaneFamily(cxl.SweepOptions{}) }
 
-// CXL device models, directly instantiable as memory backends — and their
-// device-shard form, which places a device (with its device-side memory
-// system) on its own ShardGroup engine behind the same timed-hand-off
-// seam the sharded DRAM channels use. Completions are byte-identical to
-// the single-engine run.
+// CXL device models, directly instantiable as memory backends.
 type (
 	// CXLConfig parameterizes the CXL memory expander model.
 	CXLConfig = cxl.Config
@@ -447,9 +418,6 @@ type (
 	RemoteSocketCXL = cxl.RemoteSocket
 	// OptaneModule is the modelled Optane DC module set.
 	OptaneModule = cxl.Optane
-	// ShardedCXLDevice is a device model running on its own shard engine;
-	// it serves timed accesses from the home shard (AccessAt).
-	ShardedCXLDevice = cxl.ShardedDevice
 )
 
 // DefaultCXLConfig returns the released expander parameters.
@@ -461,25 +429,6 @@ func DefaultRemoteSocketCXLConfig() RemoteSocketCXLConfig { return cxl.DefaultRe
 
 // DefaultOptaneConfig returns the released Optane parameters.
 func DefaultOptaneConfig() OptaneConfig { return cxl.DefaultOptane() }
-
-// NewShardedCXLExpander builds a CXL expander on group.Engine(shard) and
-// wires its lookahead edges and completion path to the home shard. hop is
-// the host-side flight time every AccessAt must carry.
-func NewShardedCXLExpander(group *ShardGroup, home, shard int, cfg CXLConfig, hop SimTime) (*ShardedCXLDevice, *CXLExpander) {
-	return cxl.NewShardedExpander(group, home, shard, cfg, hop)
-}
-
-// NewShardedRemoteSocketCXL builds a remote-socket emulation on
-// group.Engine(shard) and wires it in.
-func NewShardedRemoteSocketCXL(group *ShardGroup, home, shard int, cfg RemoteSocketCXLConfig, hop SimTime) (*ShardedCXLDevice, *RemoteSocketCXL) {
-	return cxl.NewShardedRemoteSocket(group, home, shard, cfg, hop)
-}
-
-// NewShardedOptane builds an Optane module set on group.Engine(shard) and
-// wires it in.
-func NewShardedOptane(group *ShardGroup, home, shard int, cfg OptaneConfig, hop SimTime) (*ShardedCXLDevice, *OptaneModule) {
-	return cxl.NewShardedOptane(group, home, shard, cfg, hop)
-}
 
 // Curve persistence.
 
@@ -531,7 +480,7 @@ func RunExperiment(id string, s ExperimentScale) (*ExperimentResult, error) {
 // cancellation stops the experiment's reference characterizations at the
 // next sweep-point boundary and surfaces as ctx.Err().
 func RunExperimentContext(ctx context.Context, id string, s ExperimentScale) (*ExperimentResult, error) {
-	return RunExperimentShardedContext(ctx, defaultCharz, id, s, 0)
+	return runExperiment(ctx, defaultCharz, id, s)
 }
 
 // RunExperimentWith executes one experiment against a caller-owned
@@ -539,30 +488,15 @@ func RunExperimentContext(ctx context.Context, id string, s ExperimentScale) (*E
 // registry sweep survives process restarts. A nil service gets a fresh
 // in-memory one.
 func RunExperimentWith(svc *CharacterizationService, id string, s ExperimentScale) (*ExperimentResult, error) {
-	return RunExperimentSharded(svc, id, s, 0)
+	return runExperiment(context.Background(), svc, id, s)
 }
 
-// RunExperimentSharded is RunExperimentWith with every reference
-// characterization sharding each measurement point across the given number
-// of engines (BenchmarkOptions.Shards). Sharding is execution-only: the
-// results — and the characterization cache keys — are identical to the
-// unsharded run, so use it to cut single-configuration latency on
-// multi-channel platforms when cores are available. Shards below 2 mean
-// unsharded.
-func RunExperimentSharded(svc *CharacterizationService, id string, s ExperimentScale, shards int) (*ExperimentResult, error) {
-	return RunExperimentShardedContext(context.Background(), svc, id, s, shards)
-}
-
-// RunExperimentShardedContext is RunExperimentSharded under a
-// caller-supplied context, threaded through the experiment environment
-// into every characterization it issues.
-func RunExperimentShardedContext(ctx context.Context, svc *CharacterizationService, id string, s ExperimentScale, shards int) (*ExperimentResult, error) {
+func runExperiment(ctx context.Context, svc *CharacterizationService, id string, s ExperimentScale) (*ExperimentResult, error) {
 	e, ok := exp.ByID(id)
 	if !ok {
 		return nil, &UnknownExperimentError{ID: id}
 	}
 	env := exp.NewEnv(s, svc)
-	env.Shards = shards
 	env.Ctx = ctx
 	return e.Run(env)
 }
